@@ -7,8 +7,9 @@ Fuzz smoke (CI runs this with ``--count 50``)::
 
 Generates ``count`` seeded scenarios cycling over every distribution,
 and checks each one end to end: spec validation, JSON round-trip
-identity, fingerprint stability, and a short DES run.  Exits non-zero
-on the first violation.
+identity, fingerprint stability, scalar model == grid path bit for bit
+over a partition axis (both close repeated kernel phases in form), and
+a short DES run.  Exits non-zero on the first violation.
 
 Golden regeneration (after an *intentional* cost-model change)::
 
@@ -31,6 +32,8 @@ sys.path.insert(0, str(REPO / "src"))
 
 from repro.device.calibration import model_fingerprint  # noqa: E402
 from repro.device.spec import PHI_31SP  # noqa: E402
+from repro.engine import GridPlan, predict_run  # noqa: E402
+from repro.parallel import RunSpec  # noqa: E402
 from repro.workload import (  # noqa: E402
     ScenarioGenerator,
     WorkloadApp,
@@ -46,6 +49,9 @@ CORPUS_SIZE = 12
 CORPUS_SEED = 0
 GOLDEN_PLACES = (1, 2, 4, 8)
 
+#: Partition counts the scalar and grid model answers are compared at.
+FUZZ_PLACES = (1, 2, 3, 5, 8, 13, 56)
+
 
 def fuzz(count: int, seed: int) -> int:
     gen = ScenarioGenerator(seed=seed)
@@ -57,12 +63,25 @@ def fuzz(count: int, seed: int) -> int:
         if back.fingerprint() != w.fingerprint():
             print(f"FAIL {w.name}: fingerprint changed in round-trip")
             return 1
+        specs = [RunSpec.for_workload(w, places=p) for p in FUZZ_PLACES]
+        plan = GridPlan.build(specs)
+        if plan.vectorized_points != len(specs):
+            print(f"FAIL {w.name}: the grid path refused the scenario")
+            return 1
+        grid = [run.elapsed for run in plan.predict_runs()]
+        scalar = [predict_run(spec).elapsed for spec in specs]
+        if grid != scalar:
+            print(f"FAIL {w.name}: grid {grid} != scalar {scalar}")
+            return 1
         elapsed = WorkloadApp(w).run(places=2).elapsed
         if not elapsed > 0:
             print(f"FAIL {w.name}: non-positive DES makespan {elapsed}")
             return 1
         print(f"ok {i + 1:3d}/{count} {w.name} ({w.fingerprint()})")
-    print(f"fuzzed {count} scenarios: all valid, round-trip clean")
+    print(
+        f"fuzzed {count} scenarios: all valid, round-trip clean, "
+        "grid == scalar"
+    )
     return 0
 
 

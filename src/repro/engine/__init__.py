@@ -14,15 +14,16 @@ The public surface (see ``docs/API.md``):
   uncertainty gate, see :mod:`repro.engine.learned` and
   ``docs/LEARNED.md``);
 * :func:`~repro.engine.profiles.predict_run` — one-spec analytic
-  evaluation, raising :class:`~repro.errors.ModelUnsupportedError`
-  outside the fast path;
+  evaluation of the run's :class:`~repro.workload.WorkloadSpec` (the
+  built-in apps through their ports), raising
+  :class:`~repro.errors.ModelUnsupportedError` outside the fast path;
 * :func:`~repro.engine.grid.predict_grid` /
   :func:`~repro.engine.grid.predict_runs` /
   :class:`~repro.engine.grid.GridPlan` — batch evaluation: a whole
   (P, T, D) sweep lowered to per-family array evaluations, element-wise
-  identical to the scalar predictor;
-* :mod:`repro.engine.analytic` — the vectorized cost-model replicas the
-  predictors are built from.
+  identical to the scalar replay;
+* :mod:`repro.engine.analytic` — the vectorized cost-model replicas
+  both model paths are built from.
 """
 
 from repro.engine.engines import (

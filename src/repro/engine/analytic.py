@@ -180,6 +180,20 @@ def invoke_cost(
     return t
 
 
+def chain_max(
+    streams: np.ndarray, costs: np.ndarray, dispatch: float, num_streams: int
+) -> float:
+    """Longest per-stream chain ``sum(dispatch + cost)`` of a phase of
+    dependency-free kernels (``streams[i]`` runs ``costs[i]``): how long
+    it lasts after a global sync, before its own.  Both model paths
+    close phases through this one function, bit-identically."""
+    return float(
+        np.bincount(
+            streams, weights=costs + dispatch, minlength=num_streams
+        ).max()
+    )
+
+
 #: Action kinds of the replay.
 _MARKER, _TRANSFER, _KERNEL = 0, 1, 2
 
@@ -235,6 +249,14 @@ class StreamReplay:
 
     def device_of(self, stream: int) -> int:
         return int(self.geometry.device[stream])
+
+    def first_invoke_owed(self, stream: int, name: str) -> bool:
+        """Whether kernel ``name`` invoked on ``stream`` would still pay
+        its device's one-off first-invocation upload."""
+        return (
+            self._over.first_invoke_extra > 0.0
+            and name not in self._loaded[self.device_of(stream)]
+        )
 
     # -- issuing -------------------------------------------------------------
 

@@ -1,34 +1,36 @@
-"""Vectorized grid evaluation of the analytic predictors.
+"""Vectorized grid evaluation of the analytic model.
 
 A figure sweep, a Sec. V-C pruning study or an ML-tuner training pass
 evaluates a *dense grid* of :class:`~repro.parallel.runspec.RunSpec`\\ s
 that differ only in their run geometry (P) or dataset/tile arguments
 (T, D).  The scalar path (:func:`repro.engine.profiles.predict_run`)
-rebuilds the whole enqueue schedule — the Python loops of the per-app
-predictors plus a :class:`~repro.engine.analytic.StreamReplay` event
-loop — for every single point, even though the schedule's *topology*
-(which uploads are deduplicated, which kernel depends on which
-transfer, how many actions each phase settles) is identical across the
-grid for a single-device family and only the stream assignment
-(``tile % S``) and the per-stream costs vary.
+rebuilds the whole enqueue schedule — a workload-spec walk plus a
+:class:`~repro.engine.analytic.StreamReplay` event loop — for every
+single point, even though the schedule's *topology* (which uploads are
+deduplicated, which kernel depends on which transfer, how many actions
+each phase settles) is identical across the grid for a single-device
+family and only the stream assignment (``tile % S``) and the
+per-stream costs vary.
 
 This module lowers a family once and evaluates each point with a flat
 loop over precompiled arrays:
 
-* :class:`_FamilyBuilder` — a *symbolic* ``StreamReplay``: the per-app
-  lowerers replay the exact schedule of their scalar predictor, but
-  record a stream *chain id* (the tile index the predictor reduces mod
-  ``num_streams``) instead of a concrete stream and a kernel *cost
-  class* instead of a concrete cost, so one recording serves every
-  partition count;
+* :class:`_FamilyBuilder` — a *symbolic* ``StreamReplay``: every app
+  reaches it as a :class:`~repro.workload.WorkloadSpec` (the six
+  built-in apps through their ports), and
+  :func:`~repro.workload.compile.lower_workload` takes the same steps
+  as the scalar replay, but records a stream *chain id* (the op's tile,
+  reduced mod ``num_streams`` per point) instead of a concrete stream
+  and a kernel *cost class* instead of a concrete cost, so one
+  recording serves every partition count;
 * :func:`_eval_phase` — the exact flat equivalent of
   ``StreamReplay._settle`` for the families the grid path accepts
-  (single device, no first-invocation upload): kernels and markers
-  complete eagerly the moment their last predecessor settles, and only
-  transfer-lane contention is treated chronologically, with a heap of
-  lane requests keyed ``(request time, activation time, issue index)``
-  and a busy-lane FIFO queue keyed ``(request time, issue index)`` —
-  the same grant discipline as the DES's capacity-1 link resource;
+  (single device, no first-invocation upload): the same
+  ``(time, seq)``-ordered event loop, with the transfer lane granted in
+  request order, the DES's capacity-1 link discipline;
+* closed phases — synced phases of dependency-free kernels entered with
+  equal tails — cost one :func:`~repro.engine.analytic.chain_max` per
+  point, shared by every repetition;
 * per-``(family, P)`` point schedules (stream maps, FIFO successor
   arrays, per-action costs from one vectorized
   :func:`~repro.engine.analytic.invoke_cost` table) cached so a
@@ -39,12 +41,12 @@ loop over precompiled arrays:
 
 The accuracy contract is *exact float equality* with
 :func:`~repro.engine.profiles.predict_run` (property-tested across all
-six app profiles): any configuration the lowering cannot reproduce
-bit-for-bit — multiple devices (device-dependent upload dedup), a
-device spec with a first-invocation upload cost, an app without a
-lowerer — is routed to the scalar predictor instead, never
-approximated.  Metrics land under ``engine.grid.*`` (see
-``docs/OBSERVABILITY.md``).
+six app profiles and generated scenarios): any configuration the
+lowering cannot reproduce bit-for-bit — multiple devices
+(device-dependent upload dedup), a device spec with a first-invocation
+upload cost, an app without a workload port — is routed to the scalar
+replay instead, never approximated.  Metrics land under
+``engine.grid.*`` (see ``docs/OBSERVABILITY.md``).
 """
 
 from __future__ import annotations
@@ -57,29 +59,13 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from repro.apps.base import AppRun
-from repro.apps.cholesky_app import CholeskyApp
-from repro.apps.hotspot_app import HotspotApp
-from repro.apps.kmeans_app import KmeansApp
-from repro.apps.matmul_app import MatMulApp
-from repro.apps.nn_app import NNApp
-from repro.apps.srad_app import SradApp
 from repro.engine.analytic import (
+    chain_max,
     check_supported,
     invoke_cost,
     stream_geometry,
 )
 from repro.errors import ModelUnsupportedError
-from repro.kernels.cholesky import (
-    gemm_update_work,
-    potrf_work,
-    syrk_update_work,
-    trsm_work,
-)
-from repro.kernels.hotspot import hotspot_work
-from repro.kernels.kmeans import kmeans_assign_work
-from repro.kernels.matmul import gemm_work
-from repro.kernels.nn import nn_work
-from repro.kernels.srad import srad_statistics_work, srad_update_work
 from repro.metrics.registry import get_registry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -134,9 +120,9 @@ class _PointPhase:
 
 
 class _PointData:
-    """Everything per-(family, P): phase schedules, the closed-form
-    per-iteration chain maxima, and the memoized evaluation (the model
-    is deterministic, so one flat-loop pass per point ever)."""
+    """Everything per-(family, P): phase schedules, the closed phases'
+    chain maxima, and the memoized evaluation (the model is
+    deterministic, so one flat-loop pass per point ever)."""
 
     __slots__ = ("S", "phases", "chain_maxes", "elapsed")
 
@@ -150,13 +136,14 @@ class _PointData:
 class _FamilyBuilder:
     """Symbolic :class:`~repro.engine.analytic.StreamReplay`.
 
-    The lowerers drive the same ``h2d``/``d2h``/``invoke``/``sync_all``
-    surface as the scalar predictors, but with a *chain id* (the tile /
-    task index whose ``% num_streams`` picks the stream) and a kernel
-    *cost class* (an :func:`invoke_cost` row materialized later, per
-    P).  Dependencies must stay within one phase — every shipped
-    schedule's do (FIFO carry-over across a global sync is a provable
-    no-op: the sync floor dominates any earlier completion).
+    :func:`~repro.workload.compile.lower_workload` drives the same
+    ``transfer``/``invoke``/``sync_all`` surface as the scalar replay,
+    but with a *chain id* (the op's tile, whose ``% num_streams`` picks
+    the stream) and a kernel *cost class* (an :func:`invoke_cost` row
+    materialized later, per P).  Handles index the current phase:
+    workload specs keep dependencies within one phase (FIFO carry-over
+    across a global sync is a provable no-op: the sync floor dominates
+    any earlier completion).
     """
 
     def __init__(self, spec):
@@ -165,9 +152,9 @@ class _FamilyBuilder:
         self.classes: list = []
         self.phases: list[_Phase] = []
         self.steps: list[tuple[int, int]] = []
+        #: Closed phases' (cost classes, chain ids), one per distinct phase.
         self.chains: list[tuple[np.ndarray, np.ndarray]] = []
-        self.iterations = 1
-        self._serial = 0
+        self._chain_index: dict = {}
         self._reset()
 
     def _reset(self):
@@ -182,26 +169,20 @@ class _FamilyBuilder:
         return len(self.classes) - 1
 
     def _issue(self, chain, kind, klass, q, deps):
-        for serial, _ in deps:
-            if serial != self._serial:
-                raise _GridUnsupported("cross-phase dependency")
-        idx = len(self._kind)
         self._kind.append(kind)
         self._chain.append(chain)
         self._klass.append(klass)
         self._laneq.append(q)
-        self._deps.append(tuple(d for _, d in deps))
-        return (self._serial, idx)
+        self._deps.append(deps)
+        return len(self._kind) - 1
 
-    def h2d(self, chain, nbytes, deps=()):
+    def transfer(self, chain, nbytes, deps=()):
         if nbytes <= 0:
             # Residency marker (count=0): no link occupancy.
             return self._issue(chain, _MARKER, -1, 0.0, deps)
         return self._issue(
             chain, _TRANSFER, -1, float(nbytes) / self._bw, deps
         )
-
-    d2h = h2d
 
     def invoke(self, chain, klass, deps=()):
         return self._issue(chain, _KERNEL, klass, 0.0, deps)
@@ -225,23 +206,19 @@ class _FamilyBuilder:
             )
             self.steps.append((_ST_SETTLE, len(self.phases)))
             self.phases.append(phase)
-            self._serial += 1
             self._reset()
         self.steps.append((_ST_SYNC, 0))
 
-    def closed_form(self, iterations, chains):
-        """Remaining iterations advance time in closed form: per chain,
-        ``max over streams of sum(dispatch + cost)`` plus the global
-        sync — the arithmetic of ``profiles._chain_lengths``."""
-        self.iterations = iterations
-        self.chains = [
-            (
-                np.asarray(klasses, dtype=np.int64),
-                np.arange(len(klasses), dtype=np.int64),
-            )
-            for klasses in chains
-        ]
-        self.steps.append((_ST_CLOSED, 0))
+    def closed_form(self, key, klasses, chains, reps):
+        """``reps`` repetitions of a synced phase of dependency-free
+        kernels, entered with every tail equal: each advances time by
+        :func:`~repro.engine.analytic.chain_max` plus the sync.
+        Phases recorded under one ``key`` share one chain table."""
+        idx = self._chain_index.get(key)
+        if idx is None:
+            idx = self._chain_index[key] = len(self.chains)
+            self.chains.append((klasses, chains))
+        self.steps.append((_ST_CLOSED, (idx, reps)))
 
 
 #: Event kinds for ``_eval_phase``'s loop (values are arbitrary — the
@@ -349,19 +326,18 @@ _POINT_CAP = 128
 class _CompiledFamily:
     """One lowered family plus its per-P point-schedule cache."""
 
-    def __init__(self, app, spec):
-        self.app = app
-        self.spec = spec
+    def __init__(self, app, bld: _FamilyBuilder):
+        self.spec = spec = bld.spec
         over = spec.overheads
         self.dispatch = over.dispatch
         self.spp = over.sync_per_stream
         self.lat = spec.link.latency
-        self.phases: list[_Phase] = []
-        self.steps: list[tuple[int, int]] = []
-        self.classes: list = []
-        self.chains: list = []
-        self.iterations = 1
-        # AppRun fields shared by every point of the family.
+        self.phases = bld.phases
+        self.steps = bld.steps
+        self.classes = bld.classes
+        self.chains = bld.chains
+        # AppRun fields shared by every point of the family: the app's
+        # own, never its port's.
         self.app_name = app.name
         self.app_tiles = app.tiles
         self.app_flops = app.total_flops()
@@ -413,16 +389,9 @@ class _CompiledFamily:
             )
         chain_maxes = []
         for klass, chain in self.chains:
-            s_of_t = chain % S
-            cost_t = ctable[klass, s_of_t]
+            streams = chain % S
             chain_maxes.append(
-                float(
-                    np.bincount(
-                        s_of_t,
-                        weights=cost_t + self.dispatch,
-                        minlength=S,
-                    ).max()
-                )
+                chain_max(streams, ctable[klass, streams], self.dispatch, S)
             )
         return _PointData(S, phases, chain_maxes)
 
@@ -430,7 +399,7 @@ class _CompiledFamily:
 
     def evaluate(self, places: int) -> float:
         """Predicted elapsed seconds at one partition count — exactly
-        the scalar predictor's arithmetic."""
+        the scalar replay's arithmetic."""
         pt = self._point(places)
         if pt.elapsed is not None:
             return pt.elapsed
@@ -453,17 +422,11 @@ class _CompiledFamily:
                 t += S * spp
                 tails = [t] * S
                 floor = t
-            elif self.iterations > 1:
-                per_iter = 0.0
-                for cm in pt.chain_maxes:
-                    per_iter += cm
-                    per_iter += S * spp
-                t += (self.iterations - 1) * per_iter
-                for s in range(S):
-                    if t > tails[s]:
-                        tails[s] = t
-                if t > floor:
-                    floor = t
+            else:
+                idx, reps = arg
+                t += reps * (pt.chain_maxes[idx] + S * spp)
+                tails = [t] * S
+                floor = t
         pt.elapsed = t
         return t
 
@@ -480,225 +443,12 @@ class _CompiledFamily:
         )
 
 
-# -- per-app lowerers ---------------------------------------------------------
-#
-# Each mirrors its scalar predictor in repro.engine.profiles line for
-# line — same dedup bookkeeping, same dependency edges, same emission
-# order — with streams deferred (chain ids) and costs deferred (cost
-# classes).  The property suite in tests/engine/test_grid_properties.py
-# holds the two implementations bit-identical.
-
-
-def _lower_matmul(app: MatMulApp, bld: _FamilyBuilder) -> None:
-    d, g = app.d, app.grid
-    block = d // g
-    itemsize = app.dtype.itemsize
-    kl = bld.kernel_class(gemm_work(block, block, d, itemsize, app.spec))
-    row_bytes = block * d * itemsize
-    a_blocks: dict[int, tuple] = {}
-    b_blocks: dict[int, tuple] = {}
-    for t in range(g * g):
-        i, j = divmod(t, g)
-        deps = []
-        if i not in a_blocks:
-            a_blocks[i] = bld.h2d(t, row_bytes)
-        deps.append(a_blocks[i])
-        if j not in b_blocks:
-            b_blocks[j] = bld.h2d(t, row_bytes)
-        deps.append(b_blocks[j])
-        bld.invoke(t, kl, deps=deps)
-        bld.d2h(t, block * block * itemsize)
-    bld.sync_all()
-
-
-def _lower_nn(app: NNApp, bld: _FamilyBuilder) -> None:
-    bounds = np.linspace(0, app.n_records, app.tiles + 1).astype(int)
-    classes: dict[int, int] = {}
-    for t, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        count = int(hi - lo)
-        if count == 0:
-            continue
-        if count not in classes:
-            classes[count] = bld.kernel_class(nn_work(count, 4, app.spec))
-    for t, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        count = int(hi - lo)
-        if count == 0:
-            continue
-        bld.h2d(t, count * 2 * 4)
-        bld.h2d(t, 0)  # output residency marker
-        bld.invoke(t, classes[count])
-        bld.d2h(t, count * 4)
-    bld.sync_all()
-
-
-def _tile_classes(
-    bld: _FamilyBuilder,
-    tiles: list[tuple[int, int]],
-    work_of: Callable,
-) -> list[int]:
-    """Cost class per tile, deduplicated by tile size — the grid twin
-    of ``profiles._per_iteration_costs``."""
-    classes: dict[int, int] = {}
-    out = []
-    for lo, hi in tiles:
-        count = hi - lo
-        if count not in classes:
-            classes[count] = bld.kernel_class(work_of(count))
-        out.append(classes[count])
-    return out
-
-
-def _lower_kmeans(app: KmeansApp, bld: _FamilyBuilder) -> None:
-    f = app.n_features
-    tiles = app._tile_bounds()
-    for t, (lo, hi) in enumerate(tiles):
-        bld.h2d(t, (hi - lo) * f * 4)
-    kls = _tile_classes(
-        bld, tiles,
-        lambda n: kmeans_assign_work(n, app.n_clusters, f, 4, app.spec),
-    )
-    for t in range(len(tiles)):
-        bld.invoke(t, kls[t])
-    bld.sync_all()
-    bld.closed_form(app.iterations, [kls])
-    bld.sync_all()  # harness's final global sync
-
-
-def _lower_hotspot(app: HotspotApp, bld: _FamilyBuilder) -> None:
-    if app.halo_sync != "global":
-        raise ModelUnsupportedError(
-            "analytic engine models Hotspot's global halo barrier only "
-            f"(halo_sync={app.halo_sync!r})"
-        )
-    d = app.d
-    bands = app._row_bands()
-    for t, (lo, hi) in enumerate(bands):
-        bld.h2d(t, (hi - lo) * d * 4)  # temp band
-        bld.h2d(t, (hi - lo) * d * 4)  # power band
-        bld.h2d(t, 0)  # scratch residency marker
-    bld.sync_all()
-    kls = _tile_classes(
-        bld, bands, lambda n: hotspot_work(n, d, 4, app.spec)
-    )
-    for t in range(len(bands)):
-        bld.invoke(t, kls[t])
-    bld.sync_all()
-    bld.closed_form(app.iterations, [kls])
-    for t, (lo, hi) in enumerate(bands):
-        bld.d2h(t, (hi - lo) * d * 4)
-    bld.sync_all()
-
-
-def _lower_srad(app: SradApp, bld: _FamilyBuilder) -> None:
-    d = app.d
-    bands = app._row_bands()
-    for t, (lo, hi) in enumerate(bands):
-        bld.h2d(t, (hi - lo) * d * 4)  # image band
-        bld.h2d(t, 0)  # scratch residency marker
-    bld.sync_all()
-    stats_kls = _tile_classes(
-        bld, bands, lambda n: srad_statistics_work(n, d, 4, app.spec)
-    )
-    update_kls = _tile_classes(
-        bld, bands, lambda n: srad_update_work(n, d, 4, app.spec)
-    )
-    for t in range(len(bands)):
-        bld.invoke(t, stats_kls[t])
-    bld.sync_all()
-    for t in range(len(bands)):
-        bld.invoke(t, update_kls[t])
-    bld.sync_all()
-    bld.closed_form(app.iterations, [stats_kls, update_kls])
-    for t, (lo, hi) in enumerate(bands):
-        bld.d2h(t, (hi - lo) * d * 4)
-    bld.sync_all()
-
-
-def _lower_cholesky(app: CholeskyApp, bld: _FamilyBuilder) -> None:
-    if app.mapping != "owner":
-        raise ModelUnsupportedError(
-            "analytic engine models the owner stream mapping only "
-            f"(mapping={app.mapping!r})"
-        )
-    nb, b = app.nb, app.block
-    tile_bytes = b * b * 8
-    kls = {
-        kind: bld.kernel_class(work)
-        for kind, work in (
-            ("potrf", potrf_work(b, 8, app.spec)),
-            ("trsm", trsm_work(b, 8, app.spec)),
-            ("syrk", syrk_update_work(b, 8, app.spec)),
-            ("gemm", gemm_update_work(b, 8, app.spec)),
-        )
-    }
-    done: dict[str, tuple] = {}
-    last_writer: dict[tuple[int, int], str] = {}
-    resident: dict[tuple[int, int], set[int]] = {}
-
-    # Single device (enforced at compile): the resident-set evolution,
-    # and with it the whole action topology, is P-independent.
-    def h2d_count(reads=(), writes=()):
-        n = 0
-        for coord in (*reads, *writes):
-            homes = resident.setdefault(coord, set())
-            if 0 not in homes:
-                homes.add(0)
-                n += 1
-        for coord in writes:
-            resident[coord] = {0}
-        return n
-
-    def emit(name, kind, chain, after, n_h2d, with_d2h):
-        deps = [done[a] for a in after]
-        first = True
-        for _ in range(n_h2d):
-            bld.h2d(chain, tile_bytes, deps=deps if first else ())
-            first = False
-        last = bld.invoke(chain, kls[kind], deps=deps if first else ())
-        if with_d2h:
-            last = bld.d2h(chain, tile_bytes)
-        done[name] = last
-
-    for j in range(nb):
-        after = [last_writer[(j, j)]] if (j, j) in last_writer else []
-        n = h2d_count(writes=((j, j),))
-        emit(f"potrf_{j}", "potrf", j, after, n, with_d2h=True)
-        last_writer[(j, j)] = f"potrf_{j}"
-        for i in range(j + 1, nb):
-            after = [f"potrf_{j}"]
-            if (i, j) in last_writer:
-                after.append(last_writer[(i, j)])
-            n = h2d_count(reads=((j, j),), writes=((i, j),))
-            emit(f"trsm_{i}_{j}", "trsm", i, after, n, with_d2h=True)
-            last_writer[(i, j)] = f"trsm_{i}_{j}"
-        for i in range(j + 1, nb):
-            for k in range(j + 1, i + 1):
-                after = [f"trsm_{i}_{j}"]
-                if k != i:
-                    after.append(f"trsm_{k}_{j}")
-                if (i, k) in last_writer:
-                    after.append(last_writer[(i, k)])
-                kind = "syrk" if k == i else "gemm"
-                reads = ((i, j),) if k == i else ((i, j), (k, j))
-                name = (
-                    f"syrk_{i}_{j}" if k == i else f"gemm_{i}_{k}_{j}"
-                )
-                n = h2d_count(reads=reads, writes=((i, k),))
-                emit(name, kind, i, after, n, with_d2h=False)
-                last_writer[(i, k)] = name
-    bld.sync_all()
-
-
-_LOWERERS: dict[type, Callable] = {
-    MatMulApp: _lower_matmul,
-    NNApp: _lower_nn,
-    KmeansApp: _lower_kmeans,
-    HotspotApp: _lower_hotspot,
-    SradApp: _lower_srad,
-    CholeskyApp: _lower_cholesky,
-    # WorkloadApp registers itself here on ``import repro.workload``
-    # (the import runs in that direction to avoid a module cycle).
-}
+#: App class -> lowering into a ``_FamilyBuilder``.  Every built-in app
+#: reaches the grid as its :class:`~repro.workload.WorkloadSpec` port,
+#: so the only entry is ``WorkloadApp``, registered on
+#: ``import repro.workload`` (the import runs in that direction to avoid
+#: a module cycle).
+_LOWERERS: dict[type, Callable] = {}
 
 
 # -- family compilation (module-level cache) ----------------------------------
@@ -738,26 +488,20 @@ def _compile_family(spec0: "RunSpec") -> _CompiledFamily:
         # Device-major place distribution makes the upload-dedup
         # topology P-dependent; the scalar replay handles it exactly.
         raise _GridUnsupported("multi-device topology is P-dependent")
-    app = spec0.build_app()
-    lower = _LOWERERS.get(type(app))
+    from repro.engine.profiles import workload_port
+
+    app, port = workload_port(spec0)
+    lower = _LOWERERS.get(type(port))
     if lower is None:
-        raise _GridUnsupported(f"no lowerer for {type(app).__name__}")
-    if app.materialize:
-        raise _GridUnsupported("real-data runs need the simulator")
+        raise _GridUnsupported(f"no lowerer for {type(port).__name__}")
     check_supported(app.spec)
     if app.spec.overheads.first_invoke_extra > 0.0:
         # First-invocation uploads depend on kernel-name arrival order,
         # which the eager evaluator does not track.
         raise _GridUnsupported("first_invoke_extra > 0")
-    fam = _CompiledFamily(app, app.spec)
     bld = _FamilyBuilder(app.spec)
-    lower(app, bld)
-    fam.phases = bld.phases
-    fam.steps = bld.steps
-    fam.classes = bld.classes
-    fam.chains = bld.chains
-    fam.iterations = bld.iterations
-    return fam
+    lower(port, bld)
+    return _CompiledFamily(app, bld)
 
 
 def _compiled_for(spec0: "RunSpec"):

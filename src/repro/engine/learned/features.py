@@ -38,6 +38,7 @@ import numpy as np
 from repro.device.spec import DeviceSpec, PHI_31SP
 from repro.device.topology import Topology
 from repro.engine.analytic import check_supported, invoke_cost, stream_geometry
+from repro.engine.profiles import workload_port
 from repro.errors import ConfigurationError, ModelUnsupportedError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -203,17 +204,14 @@ class FeatureExtractor:
     def describe(self, spec: "RunSpec") -> WorkloadPoint:
         """Featurize one :class:`RunSpec`.
 
-        Workload specs carry their scenario directly; the six named
-        apps are converted through their DES-exact ports
-        (:func:`repro.workload.ports.workload_of`), keeping their own
-        app name and tile count on the envelope.  Raises
+        Every run is featurized from the workload spec the model paths
+        read for it (:func:`repro.engine.profiles.workload_port`: the
+        six named apps through their DES-exact ports), keeping the
+        app's own name, tile count and flops on the envelope.  Raises
         :class:`~repro.errors.ModelUnsupportedError` outside the
         learned tier's surface (same refusals as the analytic path,
         plus multi-device runs — the feature map is single-device).
         """
-        from repro.workload import WorkloadApp, WorkloadSpec
-        from repro.workload.ports import workload_of
-
         if spec.streams_per_place != 1:
             raise ModelUnsupportedError(
                 "learned engine requires one stream per place "
@@ -228,40 +226,12 @@ class FeatureExtractor:
             raise ModelUnsupportedError(
                 "learned engine produces no event trace (keep_timeline=True)"
             )
-        workload = None
-        if issubclass(spec.app_cls, WorkloadApp):
-            for value in (
-                *spec.app_args,
-                *(v for _, v in spec.app_kwargs),
-            ):
-                if isinstance(value, WorkloadSpec):
-                    workload = value
-                    break
-            if workload is None:
-                raise ModelUnsupportedError(
-                    "workload run spec carries no WorkloadSpec argument"
-                )
-            app_name = f"workload:{workload.name}"
-            tiles = workload.tiles
-            flops = workload.total_flops()
-        else:
-            app = spec.build_app()
-            if getattr(app, "materialize", False):
-                raise ModelUnsupportedError(
-                    "real-data runs (materialize=True) need the simulator"
-                )
-            try:
-                workload = workload_of(app)
-            except ConfigurationError as exc:
-                raise ModelUnsupportedError(str(exc)) from exc
-            app_name = app.name
-            tiles = app.tiles
-            flops = app.total_flops()
+        app, port = workload_port(spec)
         return WorkloadPoint(
-            features=self.features(workload, spec.places),
-            app=app_name,
+            features=self.features(port.workload, spec.places),
+            app=app.name,
             places=spec.places,
-            tiles=tiles,
-            total_flops=flops,
-            workload=workload,
+            tiles=app.tiles,
+            total_flops=app.total_flops(),
+            workload=port.workload,
         )

@@ -3,17 +3,18 @@
 :func:`workload_of` re-derives an app instance's enqueue schedule as a
 :class:`~repro.workload.spec.WorkloadSpec` — the same transfers, the
 same dedup/residency bookkeeping, the same dependency edges, in the
-same emission order.  On a single device the port is *DES-exact*: a
+same emission order.  The port is *DES-exact*: a
 ``WorkloadApp(workload_of(app))`` run produces bit-identical elapsed
 times to the original app (held by ``tests/workload/test_ports.py``).
+The ports are the only schedules the analytic and grid paths read
+(:func:`repro.engine.profiles.workload_port`).
 
-Multi-device caveat: MatMul and Cholesky deduplicate uploads per
-*device*; a spec fixes the dedup pattern at build time, so their ports
-encode the single-device pattern (exactly the constraint the grid path
-already lives with).  The iterated apps replay every iteration
-explicitly (a spec is data, not arithmetic), so analytic predictions of
-a port match the closed-form originals to float-rounding (~1e-9), while
-DES runs match exactly.
+Multi-device runs: MatMul and Cholesky deduplicate uploads per
+*device*, and a spec fixes the dedup pattern at build time.  Their
+ports therefore take an optional tile -> device map (``device_of``);
+without one they encode the single-device pattern, which is all the
+grid path accepts.  The other four schedules do not depend on the
+device layout.
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ from repro.kernels.srad import srad_statistics_work, srad_update_work
 from repro.workload.spec import KernelSpec, OpSpec, PhaseSpec, WorkloadSpec
 
 
+def _one_device(tile: int) -> int:
+    return 0
+
+
 class _Kernels:
     """Deduplicating kernel table: identical work descriptors share one
     spec slot (mirrors the apps' per-tile-size work dedup)."""
@@ -58,8 +63,21 @@ class _Kernels:
             self.specs.append(spec)
         return idx
 
+    def sized(self, make_work):
+        """``size -> index`` of ``make_work(size)``, building each
+        distinct tile size's work descriptor once."""
+        memo: dict[int, int] = {}
 
-def _port_matmul(app: MatMulApp) -> WorkloadSpec:
+        def index(size: int) -> int:
+            idx = memo.get(size)
+            if idx is None:
+                idx = memo[size] = self.add(make_work(size))
+            return idx
+
+        return index
+
+
+def _port_matmul(app: MatMulApp, device_of) -> WorkloadSpec:
     d, g = app.d, app.grid
     block = d // g
     itemsize = app.dtype.itemsize
@@ -67,17 +85,25 @@ def _port_matmul(app: MatMulApp) -> WorkloadSpec:
     gemm = kernels.add(gemm_work(block, block, d, itemsize, app.spec))
     row_bytes = block * d * itemsize
     ops: list[OpSpec] = []
-    a_seen: set[int] = set()
-    b_seen: set[int] = set()
+    # Row/column block -> op name of its upload, per device.
+    a_blocks: dict[tuple[int, int], str] = {}
+    b_blocks: dict[tuple[int, int], str] = {}
     for t in range(g * g):
         i, j = divmod(t, g)
-        if i not in a_seen:
-            a_seen.add(i)
-            ops.append(OpSpec("h2d", t, row_bytes, name=f"a{i}"))
-        if j not in b_seen:
-            b_seen.add(j)
-            ops.append(OpSpec("h2d", t, row_bytes, name=f"b{j}"))
-        ops.append(OpSpec("exe", t, kernel=gemm, deps=(f"a{i}", f"b{j}")))
+        dev = device_of(t)
+        suffix = f"@{dev}" if dev else ""
+        if (dev, i) not in a_blocks:
+            a_blocks[(dev, i)] = f"a{i}{suffix}"
+            ops.append(OpSpec("h2d", t, row_bytes, name=a_blocks[(dev, i)]))
+        if (dev, j) not in b_blocks:
+            b_blocks[(dev, j)] = f"b{j}{suffix}"
+            ops.append(OpSpec("h2d", t, row_bytes, name=b_blocks[(dev, j)]))
+        ops.append(
+            OpSpec(
+                "exe", t, kernel=gemm,
+                deps=(a_blocks[(dev, i)], b_blocks[(dev, j)]),
+            )
+        )
         ops.append(OpSpec("d2h", t, block * block * itemsize))
     return WorkloadSpec(
         name=f"mm-d{d}-t{g * g}",
@@ -86,15 +112,16 @@ def _port_matmul(app: MatMulApp) -> WorkloadSpec:
     )
 
 
-def _port_nn(app: NNApp) -> WorkloadSpec:
+def _port_nn(app: NNApp, device_of) -> WorkloadSpec:
     bounds = np.linspace(0, app.n_records, app.tiles + 1).astype(int)
     kernels = _Kernels()
+    nn = kernels.sized(lambda n: nn_work(n, 4, app.spec))
     ops: list[OpSpec] = []
     for t, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         count = int(hi - lo)
         if count == 0:
             continue
-        kl = kernels.add(nn_work(count, 4, app.spec))
+        kl = nn(count)
         ops.append(OpSpec("h2d", t, count * 2 * 4))
         ops.append(OpSpec("h2d", t, 0))  # output residency marker
         ops.append(OpSpec("exe", t, kernel=kl))
@@ -106,22 +133,19 @@ def _port_nn(app: NNApp) -> WorkloadSpec:
     )
 
 
-def _port_kmeans(app: KmeansApp) -> WorkloadSpec:
+def _port_kmeans(app: KmeansApp, device_of) -> WorkloadSpec:
     f = app.n_features
     tiles = app._tile_bounds()
     kernels = _Kernels()
+    assign = kernels.sized(
+        lambda n: kmeans_assign_work(n, app.n_clusters, f, 4, app.spec)
+    )
     uploads = tuple(
         OpSpec("h2d", t, (hi - lo) * f * 4)
         for t, (lo, hi) in enumerate(tiles)
     )
     assigns = tuple(
-        OpSpec(
-            "exe",
-            t,
-            kernel=kernels.add(
-                kmeans_assign_work(hi - lo, app.n_clusters, f, 4, app.spec)
-            ),
-        )
+        OpSpec("exe", t, kernel=assign(hi - lo))
         for t, (lo, hi) in enumerate(tiles)
     )
     return WorkloadSpec(
@@ -134,7 +158,7 @@ def _port_kmeans(app: KmeansApp) -> WorkloadSpec:
     )
 
 
-def _port_hotspot(app: HotspotApp) -> WorkloadSpec:
+def _port_hotspot(app: HotspotApp, device_of) -> WorkloadSpec:
     if app.halo_sync != "global":
         raise ConfigurationError(
             "only Hotspot's global halo barrier is portable to a "
@@ -148,12 +172,9 @@ def _port_hotspot(app: HotspotApp) -> WorkloadSpec:
         uploads.append(OpSpec("h2d", t, (hi - lo) * d * 4))  # temp
         uploads.append(OpSpec("h2d", t, (hi - lo) * d * 4))  # power
         uploads.append(OpSpec("h2d", t, 0))  # scratch marker
+    step = kernels.sized(lambda n: hotspot_work(n, d, 4, app.spec))
     steps = tuple(
-        OpSpec(
-            "exe",
-            t,
-            kernel=kernels.add(hotspot_work(hi - lo, d, 4, app.spec)),
-        )
+        OpSpec("exe", t, kernel=step(hi - lo))
         for t, (lo, hi) in enumerate(bands)
     )
     downloads = tuple(
@@ -171,7 +192,7 @@ def _port_hotspot(app: HotspotApp) -> WorkloadSpec:
     )
 
 
-def _port_srad(app: SradApp) -> WorkloadSpec:
+def _port_srad(app: SradApp, device_of) -> WorkloadSpec:
     d = app.d
     bands = app._row_bands()
     kernels = _Kernels()
@@ -179,22 +200,14 @@ def _port_srad(app: SradApp) -> WorkloadSpec:
     for t, (lo, hi) in enumerate(bands):
         uploads.append(OpSpec("h2d", t, (hi - lo) * d * 4))  # image
         uploads.append(OpSpec("h2d", t, 0))  # scratch marker
+    stat = kernels.sized(lambda n: srad_statistics_work(n, d, 4, app.spec))
+    update = kernels.sized(lambda n: srad_update_work(n, d, 4, app.spec))
     stats = tuple(
-        OpSpec(
-            "exe",
-            t,
-            kernel=kernels.add(
-                srad_statistics_work(hi - lo, d, 4, app.spec)
-            ),
-        )
+        OpSpec("exe", t, kernel=stat(hi - lo))
         for t, (lo, hi) in enumerate(bands)
     )
     updates = tuple(
-        OpSpec(
-            "exe",
-            t,
-            kernel=kernels.add(srad_update_work(hi - lo, d, 4, app.spec)),
-        )
+        OpSpec("exe", t, kernel=update(hi - lo))
         for t, (lo, hi) in enumerate(bands)
     )
     downloads = tuple(
@@ -202,12 +215,14 @@ def _port_srad(app: SradApp) -> WorkloadSpec:
         for t, (lo, hi) in enumerate(bands)
     )
     # The statistics/update pair repeats as a unit; PhaseSpec.repeat
-    # covers a single phase, so the iterations unroll explicitly here.
-    phases: list[PhaseSpec] = [PhaseSpec(ops=tuple(uploads), sync=True)]
-    for _ in range(app.iterations):
-        phases.append(PhaseSpec(ops=stats, sync=True))
-        phases.append(PhaseSpec(ops=updates, sync=True))
-    phases.append(PhaseSpec(ops=downloads, sync=False))
+    # covers a single phase, so the iterations unroll explicitly here,
+    # every iteration sharing the same two phase objects.
+    pair = [PhaseSpec(ops=stats, sync=True), PhaseSpec(ops=updates, sync=True)]
+    phases = [
+        PhaseSpec(ops=tuple(uploads), sync=True),
+        *pair * app.iterations,
+        PhaseSpec(ops=downloads, sync=False),
+    ]
     return WorkloadSpec(
         name=f"srad-d{d}-t{len(bands)}",
         kernels=tuple(kernels.specs),
@@ -215,7 +230,7 @@ def _port_srad(app: SradApp) -> WorkloadSpec:
     )
 
 
-def _port_cholesky(app: CholeskyApp) -> WorkloadSpec:
+def _port_cholesky(app: CholeskyApp, device_of) -> WorkloadSpec:
     if app.mapping != "owner":
         raise ConfigurationError(
             "only the owner stream mapping is portable to a workload "
@@ -235,16 +250,20 @@ def _port_cholesky(app: CholeskyApp) -> WorkloadSpec:
     }
     ops: list[OpSpec] = []
     last_writer: dict[tuple[int, int], str] = {}
-    resident: set[tuple[int, int]] = set()
+    # Tile coordinate -> devices holding a current copy (a write leaves
+    # the writer's device the only holder).
+    resident: dict[tuple[int, int], set[int]] = {}
 
-    # Single device: the resident-set evolution (hence the transfer
-    # topology) is P-independent, exactly as in the grid lowering.
-    def h2d_count(reads=(), writes=()):
+    def h2d_count(tile, reads=(), writes=()):
+        device = device_of(tile)
         n = 0
         for coord in (*reads, *writes):
-            if coord not in resident:
-                resident.add(coord)
+            homes = resident.setdefault(coord, set())
+            if device not in homes:
+                homes.add(device)
                 n += 1
+        for coord in writes:
+            resident[coord] = {device}
         return n
 
     def emit(name, kind, tile, after, n_h2d, with_d2h):
@@ -270,14 +289,14 @@ def _port_cholesky(app: CholeskyApp) -> WorkloadSpec:
 
     for j in range(nb):
         after = [last_writer[(j, j)]] if (j, j) in last_writer else []
-        n = h2d_count(writes=((j, j),))
+        n = h2d_count(j, writes=((j, j),))
         emit(f"potrf_{j}", "potrf", j, after, n, with_d2h=True)
         last_writer[(j, j)] = f"potrf_{j}"
         for i in range(j + 1, nb):
             after = [f"potrf_{j}"]
             if (i, j) in last_writer:
                 after.append(last_writer[(i, j)])
-            n = h2d_count(reads=((j, j),), writes=((i, j),))
+            n = h2d_count(i, reads=((j, j),), writes=((i, j),))
             emit(f"trsm_{i}_{j}", "trsm", i, after, n, with_d2h=True)
             last_writer[(i, j)] = f"trsm_{i}_{j}"
         for i in range(j + 1, nb):
@@ -292,7 +311,7 @@ def _port_cholesky(app: CholeskyApp) -> WorkloadSpec:
                 name = (
                     f"syrk_{i}_{j}" if k == i else f"gemm_{i}_{k}_{j}"
                 )
-                n = h2d_count(reads=reads, writes=((i, k),))
+                n = h2d_count(i, reads=reads, writes=((i, k),))
                 emit(name, kind, i, after, n, with_d2h=False)
                 last_writer[(i, k)] = name
     return WorkloadSpec(
@@ -302,6 +321,8 @@ def _port_cholesky(app: CholeskyApp) -> WorkloadSpec:
     )
 
 
+#: App class -> (app, device_of) -> spec.  Only MatMul and Cholesky read
+#: ``device_of``; the other schedules are device-independent.
 _PORTS = {
     MatMulApp: _port_matmul,
     NNApp: _port_nn,
@@ -312,12 +333,15 @@ _PORTS = {
 }
 
 
-def workload_of(app) -> WorkloadSpec:
-    """The workload spec equivalent to ``app``'s enqueue schedule
-    (single-device exact; see the module docstring)."""
+def workload_of(app, device_of=None) -> WorkloadSpec:
+    """The workload spec equivalent to ``app``'s enqueue schedule.
+
+    ``device_of(tile)`` names the device each tile's stream lives on
+    (default: one device); see the module docstring.
+    """
     port = _PORTS.get(type(app))
     if port is None:
         raise ConfigurationError(
             f"no workload port for app class {type(app).__name__}"
         )
-    return port(app)
+    return port(app, device_of or _one_device)

@@ -269,7 +269,11 @@ class WorkloadSpec:
                     f"kernels[{k}] must be a KernelSpec, got {kernel!r}"
                 )
             kernel.work()  # KernelWork validates rates/efficiency/width
+        checked: set = set()
         for p, phase in enumerate(self.phases):
+            if id(phase) in checked:
+                continue  # one phase object repeated (an unrolled loop)
+            checked.add(id(phase))
             if not isinstance(phase, PhaseSpec):
                 raise ConfigurationError(
                     f"phases[{p}] must be a PhaseSpec, got {phase!r}"

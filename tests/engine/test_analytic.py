@@ -1,4 +1,4 @@
-"""The analytic predictors against the DES, app by app.
+"""The analytic model against the DES, app by app.
 
 Each spot check executes the same :class:`RunSpec` through both paths
 and bounds the relative error.  Most points agree to float precision —

@@ -1,9 +1,9 @@
 """Property test: ``predict_grid`` is *exactly* ``predict_run``.
 
-The grid path duplicates each scalar predictor's schedule in a lowered
-form; any drift between the two implementations — a reordered float
-add, a missed dedup, a wrong tie-break on the transfer lane — shows up
-as a bitwise inequality somewhere in the (P, T, D) space.  Hypothesis
+Both paths read each app's workload-spec port, the grid path as a
+lowered recording; any drift between the two — a reordered float add,
+a differently closed phase, a wrong tie-break on the transfer lane —
+shows up as a bitwise inequality somewhere in the (P, T, D) space.  Hypothesis
 walks that space across all six app profiles and demands exact float
 equality (``==``, never ``approx``) at every point.
 """

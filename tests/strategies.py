@@ -164,6 +164,25 @@ def phase_specs(draw, n_kernels: int) -> PhaseSpec:
 
 
 @st.composite
+def kernel_phase_specs(draw, n_kernels: int) -> PhaseSpec:
+    """A synced phase of dependency-free kernels, optionally repeated:
+    the shape the model paths close in form.  Mixed random phases
+    almost never draw it, so it gets its own strategy."""
+    n_ops = draw(st.integers(min_value=1, max_value=10))
+    ops = tuple(
+        OpSpec(
+            "exe",
+            draw(st.integers(min_value=0, max_value=15)),
+            kernel=draw(st.integers(min_value=0, max_value=n_kernels - 1)),
+        )
+        for _ in range(n_ops)
+    )
+    return PhaseSpec(
+        ops=ops, sync=True, repeat=draw(st.integers(min_value=1, max_value=4))
+    )
+
+
+@st.composite
 def workload_specs(draw) -> WorkloadSpec:
     """Arbitrary valid workload scenarios over the full DSL space."""
     n_kernels = draw(st.integers(min_value=1, max_value=3))
@@ -171,7 +190,11 @@ def workload_specs(draw) -> WorkloadSpec:
         draw(kernel_specs(index=i)) for i in range(n_kernels)
     )
     phases = tuple(
-        draw(phase_specs(n_kernels))
+        draw(
+            st.one_of(
+                phase_specs(n_kernels), kernel_phase_specs(n_kernels)
+            )
+        )
         for _ in range(draw(st.integers(min_value=1, max_value=3)))
     )
     return WorkloadSpec(name="hyp", kernels=kernels, phases=phases)
