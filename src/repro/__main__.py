@@ -342,23 +342,11 @@ def main(argv: list[str] | None = None) -> int:
         "uncertainty gate (learned)",
     )
     exp.add_argument(
-        "--no-grid",
-        action="store_true",
-        help="disable the vectorized grid-prediction path for the "
-        "model/hybrid engines (per-point scalar prediction instead)",
-    )
-    exp.add_argument(
         "--engine-store",
         default=None,
         metavar="PATH",
         help="persist hybrid-engine certification verdicts to PATH so "
         "repeat invocations skip DES calibration runs",
-    )
-    exp.add_argument(
-        "--keep-traces",
-        action="store_true",
-        help="ship full run objects from workers instead of the slim "
-        "scalar transport",
     )
     exp.add_argument(
         "--app",
@@ -413,10 +401,6 @@ def main(argv: list[str] | None = None) -> int:
             rest = [f"--{flag.replace('_', '-')}", str(value)] + rest
     if args.profile:
         rest = ["--profile"] + rest
-    if args.no_grid:
-        rest = ["--no-grid"] + rest
-    if args.keep_traces:
-        rest = ["--keep-traces"] + rest
     return experiments_main(rest)
 
 

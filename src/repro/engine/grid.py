@@ -510,7 +510,7 @@ def _compiled_for(spec0: "RunSpec"):
     try:
         key = _family_key(spec0)
         cached = key in _FAMILIES
-    except TypeError:  # unhashable ctor argument: never vectorize
+    except TypeError:  # unhashable ctor argument: scalar route
         return None, False
     if cached:
         _FAMILIES.move_to_end(key)

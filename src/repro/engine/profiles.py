@@ -11,8 +11,9 @@ app's ``_execute``, but as straight-line arithmetic instead of a
 discrete-event simulation.  Synced phases of dependency-free kernels
 close in form (see :mod:`repro.workload.compile`), so iterated apps
 cost one replayed iteration at most, however many they run.  On
-several devices the MatMul and Cholesky ports are built per point with
-the run's tile -> device map, deduplicating uploads per device.
+several devices the MatMul and Cholesky ports follow the run's
+tile -> device map, deduplicating uploads per device; each port is
+built once per construction (and per P on several devices).
 
 Known deviations from the DES (why the hybrid engine calibrates):
 
@@ -66,34 +67,38 @@ def _port(app, device_of=None):
 
 
 @lru_cache(maxsize=16)
-def _single_device_port(app_cls, app_args, app_kwargs):
-    """``(app, port)`` of one app construction on one device.  The port
-    does not depend on the partition count, so a sweep builds it once."""
+def _cached_port(app_cls, app_args, app_kwargs, places, num_devices):
+    """``(app, port)`` of one app construction.  On one device the port
+    does not depend on the partition count (``places`` is None), so a
+    P-sweep builds it once.  On several devices MatMul and Cholesky
+    dedup uploads per device, so their port follows the run's
+    tile -> device map and is keyed by ``places`` too."""
     app = app_cls(*app_args, **dict(app_kwargs))
-    return app, _port(app)
+    if num_devices == 1:
+        return app, _port(app)
+    geometry = stream_geometry(places, num_devices, app.spec)
+    S = geometry.num_streams
+    return app, _port(app, lambda tile: int(geometry.device[tile % S]))
 
 
 def workload_port(spec: "RunSpec"):
     """``(app, port)``: the run's app and the
     :class:`~repro.workload.WorkloadApp` the model paths read for it.
 
-    On several devices MatMul and Cholesky dedup uploads per device, so
-    their port is built per point from the run's tile -> device map.
     Raises :class:`~repro.errors.ModelUnsupportedError` for real-data
     runs and apps or variants without a port.
     """
-    if spec.num_devices == 1:
-        try:
-            return _single_device_port(
-                spec.app_cls, spec.app_args, spec.app_kwargs
-            )
-        except TypeError:  # unhashable constructor argument
-            app = spec.build_app()
-            return app, _port(app)
-    app = spec.build_app()
-    geometry = stream_geometry(spec.places, spec.num_devices, app.spec)
-    S = geometry.num_streams
-    return app, _port(app, lambda tile: int(geometry.device[tile % S]))
+    key = (
+        spec.app_cls,
+        spec.app_args,
+        spec.app_kwargs,
+        spec.places if spec.num_devices > 1 else None,
+        spec.num_devices,
+    )
+    try:
+        return _cached_port(*key)
+    except TypeError:  # unhashable constructor argument
+        return _cached_port.__wrapped__(*key)
 
 
 def predict_run(spec: "RunSpec") -> AppRun:

@@ -79,23 +79,14 @@ example:
 def _resolve_engine_arg(args):
     """The ``engine=`` value the executor and figures receive.
 
-    ``--no-grid`` turns the name into an engine instance with grid
-    routing off; results are bit-identical either way, the flag only
-    trades the batched array evaluation for per-point ``predict_run``.
-    ``--engine-store`` likewise forces an instance so the persistent
-    certified-family store rides along wherever the engine goes.
+    ``--engine-store`` turns the name into one engine instance so the
+    persistent certified-family store rides along wherever the engine
+    goes; without it the name passes through unchanged.
     """
-    store = getattr(args, "engine_store", None)
-    if args.engine in ("model", "hybrid") and (args.no_grid or store):
-        from repro.engine import HybridEngine, ModelEngine
+    if args.engine_store:
+        from repro.engine import resolve_engine
 
-        cls = ModelEngine if args.engine == "model" else HybridEngine
-        return cls(vectorize=not args.no_grid, store=store)
-    if args.engine == "learned" and store:
-        # The store rides on the learned engine's hybrid fallback.
-        from repro.engine import LearnedEngine
-
-        return LearnedEngine(store=store)
+        return resolve_engine(args.engine, store=args.engine_store)
     return args.engine
 
 
@@ -104,9 +95,8 @@ def _build_executor(args, engine_arg):
 
     With plain ``--jobs`` the per-figure executors are kept (their
     behaviour predates the resilience layer and is unchanged); retries,
-    checkpoints, fault plans and ``--keep-traces`` need a single
-    executor whose stats, checkpoint file and transport mode span the
-    whole invocation.
+    checkpoints, fault plans and non-sim engines need a single executor
+    whose stats and checkpoint file span the whole invocation.
     """
     if (
         args.retries is None
@@ -114,7 +104,6 @@ def _build_executor(args, engine_arg):
         and args.fault_plan is None
         and args.on_error == "raise"
         and args.engine == "sim"
-        and not args.keep_traces
     ):
         return None
     from repro.faults import FaultPlan
@@ -141,7 +130,6 @@ def _build_executor(args, engine_arg):
         ),
         on_error=args.on_error,
         engine=engine_arg,
-        keep_traces=args.keep_traces,
         engine_store=args.engine_store,
     )
 
@@ -219,13 +207,6 @@ def main(argv: list[str] | None = None) -> int:
         "docs/LEARNED.md",
     )
     parser.add_argument(
-        "--no-grid",
-        action="store_true",
-        help="disable the vectorized grid-prediction path for the "
-        "model/hybrid engines (evaluate every sweep point with the "
-        "scalar predictor instead; see docs/PERF.md)",
-    )
-    parser.add_argument(
         "--engine-store",
         default=None,
         metavar="PATH",
@@ -233,13 +214,6 @@ def main(argv: list[str] | None = None) -> int:
         "JSON file or directory); a repeat invocation answers "
         "already-certified sweep families with zero DES calibration "
         "runs (see docs/PERF.md)",
-    )
-    parser.add_argument(
-        "--keep-traces",
-        action="store_true",
-        help="ship full run objects (with per-run metrics snapshots) "
-        "back from worker processes instead of the slim scalar "
-        "transport; results are identical, only the IPC volume differs",
     )
     parser.add_argument(
         "--app",

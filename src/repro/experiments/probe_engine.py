@@ -7,9 +7,11 @@ directly.  :func:`probe_series` mirrors its contract at series
 granularity: ``"model"`` evaluates the analytic helper everywhere
 (strict), ``"hybrid"`` certifies the helper against one simulated
 midpoint per series and falls back to the simulated probe for the whole
-series when the calibration error exceeds the tolerance.  The same
-``engine.*`` metrics are recorded (see ``docs/OBSERVABILITY.md``), and
-the default ``"sim"`` path records none.
+series when the calibration error exceeds the tolerance.  ``"learned"``
+runs as ``"hybrid"``: the learned tier has no probe model, and hybrid
+is its own fallback.  The same ``engine.*`` metrics are recorded (see
+``docs/OBSERVABILITY.md``), and the default ``"sim"`` path records
+none.
 """
 
 from __future__ import annotations
@@ -21,14 +23,19 @@ from repro.metrics.registry import get_registry
 
 
 def probe_series(
-    engine: "str | None",
+    engine: "str | object | None",
     xs: Sequence,
     sim_fn: Callable,
     model_fn: Callable,
     tolerance: float = 0.05,
     label: str = "",
 ) -> list[float]:
-    """Evaluate one figure series under the selected engine."""
+    """Evaluate one figure series under the selected engine (a name
+    from :data:`~repro.engine.ENGINE_NAMES` or an engine instance,
+    read by its ``name``)."""
+    engine = getattr(engine, "name", engine)
+    if engine == "learned":
+        engine = "hybrid"
     if engine in (None, "sim"):
         return [sim_fn(x) for x in xs]
     registry = get_registry()
@@ -61,5 +68,6 @@ def probe_series(
         registry.counter("engine.points", backend="sim").inc(len(xs))
         return [sim_fn(x) for x in xs]
     raise ConfigurationError(
-        f"unknown engine {engine!r}; expected sim, model or hybrid"
+        f"unknown engine {engine!r}; expected sim, model, hybrid or "
+        "learned"
     )

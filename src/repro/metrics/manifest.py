@@ -23,13 +23,13 @@ from __future__ import annotations
 import json
 import os
 import subprocess
-import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
 from repro.metrics.registry import MetricsError, MetricsSnapshot
+from repro.util.atomic import atomic_write_json
 
 #: Current manifest schema version.
 MANIFEST_VERSION = 1
@@ -124,8 +124,10 @@ class RunManifest:
                 "refusing to write invalid manifest: " + "; ".join(errors)
             )
         path = directory / "manifest.json"
-        _atomic_write_json(path, payload)
-        _atomic_write_json(directory / "metrics.json", payload["metrics"])
+        atomic_write_json(path, payload, indent=1)
+        atomic_write_json(
+            directory / "metrics.json", payload["metrics"], indent=1
+        )
         return path
 
 
@@ -218,19 +220,3 @@ def git_describe(cwd: "str | os.PathLike | None" = None) -> "str | None":
     if out.returncode != 0:
         return None
     return out.stdout.strip() or None
-
-
-def _atomic_write_json(path: Path, payload: Any) -> None:
-    fd, tmp = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise

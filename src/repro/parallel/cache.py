@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,6 +34,7 @@ from pathlib import Path
 from repro.apps.base import AppRun
 from repro.metrics.registry import get_registry
 from repro.parallel.runspec import RunSpec
+from repro.util.atomic import atomic_write_json
 
 #: Default location of the on-disk store, relative to the repo root.
 DEFAULT_CACHE_DIR = Path("results") / "cache"
@@ -266,20 +266,7 @@ class SimulationCache:
         shard = self._disk.get(fingerprint, {})
         path = self._disk_path(fingerprint)
         path.parent.mkdir(parents=True, exist_ok=True)
-        # Atomic replace so a crashed run never leaves a torn JSON file.
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=path.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(shard, fh)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write_json(path, shard)
         self._disk_missing.discard(fingerprint)
         self._evict_disk(keep=fingerprint)
 

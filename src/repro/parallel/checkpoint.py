@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from pathlib import Path
 
 from repro.apps.base import AppRun
 from repro.errors import ConfigurationError
 from repro.parallel.cache import decode_run, encode_run
 from repro.parallel.runspec import RunSpec
+from repro.util.atomic import atomic_write_json
 
 #: Current checkpoint file schema.
 CHECKPOINT_VERSION = 1
@@ -89,19 +89,7 @@ class SweepCheckpoint:
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)
         payload = {"version": CHECKPOINT_VERSION, "runs": self._runs}
-        fd, tmp = tempfile.mkstemp(
-            dir=self.path.parent, prefix=self.path.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh)
-            os.replace(tmp, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write_json(self.path, payload)
         self._dirty = 0
 
     # -- internals -----------------------------------------------------------

@@ -72,8 +72,6 @@ from repro.parallel.runspec import (
     RunResult,
     RunSpec,
     decompress_snapshot,
-    execute_spec,
-    execute_spec_batch,
     execute_spec_batch_slim,
     execute_spec_slim,
 )
@@ -157,8 +155,6 @@ class SweepExecutor:
         fault_plan: FaultPlan | None = None,
         on_error: str = "raise",
         engine: "str | object" = "sim",
-        chunksize: int | None = None,
-        keep_traces: bool = False,
         engine_store: "str | object | None" = None,
         des_budget: "DesBudget | None" = None,
     ) -> None:
@@ -178,12 +174,6 @@ class SweepExecutor:
                 f"on_error must be 'raise' or 'record', got {on_error!r}"
             )
         self.on_error = on_error
-        #: ``True`` restores full-object result transport (whole
-        #: ``AppRun`` pickles) instead of the default slim
-        #: :class:`~repro.parallel.runspec.RunResult` wire records —
-        #: the CLIs' ``--keep-traces``.  Specs with ``keep_timeline``
-        #: always ship their full run either way.
-        self.keep_traces = keep_traces
         #: Evaluation engine (see :mod:`repro.engine`): ``None`` for the
         #: native simulation path, else an object whose ``map`` decides
         #: per spec between analytic prediction and simulation.
@@ -191,14 +181,6 @@ class SweepExecutor:
         #: certified-family store (see :mod:`repro.engine.store`).
         self._engine_impl = resolve_engine(engine, store=engine_store)
         self.engine = getattr(self._engine_impl, "name", "sim")
-        if chunksize is not None and chunksize < 1:
-            raise ConfigurationError(
-                f"chunksize must be >= 1, got {chunksize}"
-            )
-        #: Specs submitted per pool task (None: derived from grid size
-        #: and jobs).  Batching amortizes process spawn and per-result
-        #: metrics-snapshot pickling on large grids.
-        self.chunksize = chunksize
         #: Optional :class:`~repro.parallel.budget.DesBudget` charged
         #: for every simulator execution that survives the cache and
         #: checkpoint passes (hits are free).  Accounting only — the
@@ -540,15 +522,14 @@ class SweepExecutor:
         return done
 
     def _effective_chunksize(self, n: int) -> int:
-        """Specs per pool task.  Chunking only applies on the plain
+        """Specs per pool task.  Batching amortizes process spawn and
+        result pickling on large grids, but only applies on the plain
         path: retries and fault plans need per-spec submission (worker
-        directives and deadlines are drawn per attempt).  The default
+        directives and deadlines are drawn per attempt).  Otherwise it
         keeps at least ``4 * jobs`` batches so the pool stays balanced,
         capped at 8 specs per task."""
         if self.retry is not None or self.fault_plan is not None:
             return 1
-        if self.chunksize is not None:
-            return self.chunksize
         return max(1, min(8, n // (4 * self.jobs)))
 
     def _drain_chunked(self, specs, indices, results, done, chunk) -> int:
@@ -566,15 +547,12 @@ class SweepExecutor:
             )
         except (OSError, PermissionError):
             return self._run_serial(specs, indices, results, done)
-        batch_fn = (
-            execute_spec_batch if self.keep_traces else execute_spec_batch_slim
-        )
         try:
             futures = {}
             for batch in batches:
                 try:
                     future = pool.submit(
-                        batch_fn, [specs[i] for i in batch]
+                        execute_spec_batch_slim, [specs[i] for i in batch]
                     )
                 except (BrokenProcessPool, RuntimeError, OSError):
                     done = self._run_serial(specs, batch, results, done)
@@ -590,19 +568,15 @@ class SweepExecutor:
                     # rather than guessing which spec was at fault.
                     done = self._run_serial(specs, batch, results, done)
                     continue
-                if isinstance(payload, tuple):
-                    # Slim transport: the worker merged its batch's
-                    # metrics snapshots into one compressed delta.
-                    # Merging it once here is exactly equivalent to the
-                    # per-run merges of the full path (associative and
-                    # commutative), so parent totals are unchanged.
-                    outcomes, metrics_z = payload
-                    if metrics_z is not None:
-                        get_registry().merge_snapshot(
-                            decompress_snapshot(metrics_z)
-                        )
-                else:
-                    outcomes = payload
+                # The worker merged its batch's metrics snapshots into
+                # one compressed delta.  Merging it once here equals
+                # merging each run's snapshot (associative and
+                # commutative), so parent totals are unchanged.
+                outcomes, metrics_z = payload
+                if metrics_z is not None:
+                    get_registry().merge_snapshot(
+                        decompress_snapshot(metrics_z)
+                    )
                 for i, (status, result) in zip(batch, outcomes):
                     if status == "ok":
                         if isinstance(result, RunResult):
@@ -628,8 +602,6 @@ class SweepExecutor:
             return pool.submit(
                 execute_spec_faulty, spec, plan, attempt, directive
             )
-        if self.keep_traces:
-            return pool.submit(execute_spec, spec)
         return pool.submit(execute_spec_slim, spec)
 
     def _charged_for_crash(self, i: int, attempt: int) -> bool:
@@ -854,8 +826,6 @@ def run_sweep(
     fault_plan: FaultPlan | None = None,
     on_error: str = "raise",
     engine: "str | object" = "sim",
-    chunksize: int | None = None,
-    keep_traces: bool = False,
     engine_store: "str | object | None" = None,
 ) -> "list[AppRun]":
     """One-shot helper: ``SweepExecutor(...).map(specs)``."""
@@ -868,7 +838,5 @@ def run_sweep(
         fault_plan=fault_plan,
         on_error=on_error,
         engine=engine,
-        chunksize=chunksize,
-        keep_traces=keep_traces,
         engine_store=engine_store,
     ).map(specs)

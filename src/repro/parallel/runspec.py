@@ -189,23 +189,20 @@ class RunSpec:
 
 @dataclass
 class RunResult:
-    """Compact wire record of one executed run (slim result transport).
+    """Compact wire record of one executed run (the worker transport).
 
-    A sweep only consumes a run's scalar timings, yet the pool used to
-    ship whole :class:`~repro.apps.base.AppRun` objects back — including
-    a full :class:`~repro.metrics.registry.MetricsSnapshot` per run (and
-    the entire trace for ``keep_timeline`` specs).  A ``RunResult``
-    carries the timings plus, at most, the run's metrics delta as
-    zlib-compressed snapshot JSON; chunked workers go further and merge
-    their whole batch's snapshots into **one** compressed delta (the
-    merge is associative and commutative, so parent-side totals are
-    unchanged).  Executors decode back to an ``AppRun`` on arrival, so
-    nothing downstream sees the wire format.
+    A sweep only consumes a run's scalar timings, so workers ship these
+    instead of whole :class:`~repro.apps.base.AppRun` objects with a
+    full :class:`~repro.metrics.registry.MetricsSnapshot` each.  A
+    ``RunResult`` carries the timings plus, at most, the run's metrics
+    delta as zlib-compressed snapshot JSON; chunked workers go further
+    and merge their whole batch's snapshots into **one** compressed
+    delta (the merge is associative and commutative, so parent-side
+    totals are unchanged).  Executors decode back to an ``AppRun`` on
+    arrival, so nothing downstream sees the wire format.
 
-    ``SweepExecutor(keep_traces=True)`` (the CLIs' ``--keep-traces``)
-    restores the previous full-object transport; specs with
-    ``keep_timeline=True`` always ride the full path so their trace
-    output is bit-identical either way.
+    Specs with ``keep_timeline=True`` ship their whole ``AppRun``
+    instead: their trace is the product.
     """
 
     app: str
@@ -287,46 +284,29 @@ def decompress_snapshot(blob: bytes) -> "MetricsSnapshot":
     )
 
 
-def execute_spec(spec: RunSpec) -> "AppRun":
-    """Module-level entry point for worker processes (must be picklable
-    by reference, hence not a method)."""
-    return spec.execute()
-
-
 def execute_spec_slim(spec: RunSpec) -> "RunResult | AppRun":
-    """Worker entry point for slim transport: ship a
-    :class:`RunResult` instead of the full run.  ``keep_timeline``
-    specs return the full ``AppRun`` (their trace is the product)."""
+    """Worker entry point (module-level, so it pickles by reference):
+    ship a :class:`RunResult` instead of the full run.
+    ``keep_timeline`` specs return the full ``AppRun`` (their trace is
+    the product)."""
     run = spec.execute()
     if spec.keep_timeline:
         return run
     return RunResult.from_run(run)
 
 
-def execute_spec_batch(specs: "list[RunSpec]") -> list:
-    """Worker entry point for chunked submission: run a batch of specs
-    in one pool task, reporting each outcome individually as
-    ``("ok", run)`` or ``("err", exc)`` so one failing spec does not
-    discard its batchmates."""
-    outcomes = []
-    for spec in specs:
-        try:
-            outcomes.append(("ok", spec.execute()))
-        except Exception as exc:  # noqa: BLE001 - reported to the parent
-            outcomes.append(("err", exc))
-    return outcomes
-
-
 def execute_spec_batch_slim(
     specs: "list[RunSpec]",
 ) -> "tuple[list, bytes | None]":
-    """Chunked slim transport: per-spec scalar outcomes plus **one**
+    """Worker entry point for chunked submission: run a batch of specs
+    in one pool task, returning per-spec scalar outcomes plus **one**
     merged, compressed metrics delta for the whole batch.
 
     Returns ``(outcomes, metrics_z)`` where ``outcomes`` entries are
-    ``("ok", RunResult | AppRun)`` or ``("err", exc)``.  Snapshot merge
-    is associative and commutative (counters add, histogram buckets
-    add), so the parent merging the blob once is exactly equivalent to
+    ``("ok", RunResult | AppRun)`` or ``("err", exc)``, so one failing
+    spec does not discard its batchmates.  Snapshot merge is
+    associative and commutative (counters add, histogram buckets add),
+    so the parent merging the blob once is exactly equivalent to
     merging each run's snapshot individually — at a fraction of the
     IPC bytes.  ``keep_timeline`` specs ride along as full runs with
     their own metrics attached (never folded into the blob, so the

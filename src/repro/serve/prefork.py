@@ -51,6 +51,7 @@ from pathlib import Path
 
 from repro.errors import ConfigurationError
 from repro.metrics.registry import MetricsSnapshot, get_registry
+from repro.util.atomic import atomic_write_json
 
 #: Seconds between periodic worker snapshot publications.
 PUBLISH_INTERVAL = 1.0
@@ -189,19 +190,7 @@ class MetricsHub:
             "published_unix": time.time(),
             "snapshot": snapshot.to_dict(),
         }
-        fd, tmp = tempfile.mkstemp(
-            dir=self.root, prefix=f"worker-{self.worker_id}", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh)
-            os.replace(tmp, self._path(self.worker_id))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write_json(self._path(self.worker_id), payload)
 
     def read_all(self) -> "dict[int, MetricsSnapshot]":
         """Every published worker snapshot (unreadable files skipped —

@@ -105,22 +105,20 @@ class TestHybridEngine:
         assert snapshot.gauge_value("engine.fallback_rate") == 1.0
 
     def test_failed_certification_simulates_whole_family(self, monkeypatch):
-        import repro.engine.profiles as profiles
+        from repro.engine.grid import GridPlan
 
-        real_predict = profiles.predict_run
+        real_predict_runs = GridPlan.predict_runs
 
-        def skewed_predict(spec):
-            run = real_predict(spec)
-            run.elapsed *= 1.5
-            return run
+        def skewed_predict_runs(self, strict=True):
+            runs = real_predict_runs(self, strict=strict)
+            for run in runs:
+                run.elapsed *= 1.5
+            return runs
 
-        monkeypatch.setattr(profiles, "predict_run", skewed_predict)
+        monkeypatch.setattr(GridPlan, "predict_runs", skewed_predict_runs)
         specs = _mm_specs(places=(1, 2, 4, 8))
         baseline = SweepExecutor(jobs=1).map(specs)
-        # vectorize=False so the skewed scalar predictor is what the
-        # engine certifies against (the grid twin of this scenario
-        # lives in test_grid.py).
-        engine = HybridEngine(vectorize=False)
+        engine = HybridEngine()
         with scoped_registry() as registry:
             runs = SweepExecutor(jobs=1, engine=engine).map(specs)
             snapshot = registry.snapshot()

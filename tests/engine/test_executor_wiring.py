@@ -3,7 +3,6 @@
 import pytest
 
 from repro.apps import MatMulApp
-from repro.errors import ConfigurationError
 from repro.parallel import (
     RetryPolicy,
     RunSpec,
@@ -21,14 +20,6 @@ def _specs(n=8):
 
 
 class TestChunksize:
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ConfigurationError):
-            SweepExecutor(jobs=2, chunksize=0)
-
-    def test_explicit_chunksize_wins(self):
-        ex = SweepExecutor(jobs=2, chunksize=5)
-        assert ex._effective_chunksize(1000) == 5
-
     def test_default_scales_with_grid_and_jobs(self):
         ex = SweepExecutor(jobs=4)
         # Small grids stay unbatched; large grids batch up to 8.
@@ -37,30 +28,34 @@ class TestChunksize:
         assert ex._effective_chunksize(336) == 8
 
     def test_retry_and_faults_disable_batching(self):
-        retrying = SweepExecutor(
-            jobs=4, retry=RetryPolicy(max_retries=2), chunksize=8
-        )
+        retrying = SweepExecutor(jobs=4, retry=RetryPolicy(max_retries=2))
         assert retrying._effective_chunksize(336) == 1
 
     def test_chunked_results_match_serial(self):
-        specs = _specs(12)
+        # 16 specs over 2 jobs derive 2 specs per pool task.
+        specs = _specs(16)
         serial = SweepExecutor(jobs=1).map(specs)
         cache = SimulationCache()
-        chunked = SweepExecutor(jobs=4, cache=cache, chunksize=3).map(specs)
+        executor = SweepExecutor(jobs=2, cache=cache)
+        assert executor._effective_chunksize(len(specs)) == 2
+        chunked = executor.map(specs)
         assert [r.elapsed for r in chunked] == [r.elapsed for r in serial]
         assert [r.gflops for r in chunked] == [r.gflops for r in serial]
         assert cache.stats.puts == len(specs)
 
 
 class TestRunSweepPassthrough:
-    def test_engine_and_chunksize_forwarded(self):
+    def test_engine_forwarded_and_chunked_sweep_matches(self):
         specs = _specs(4)
         baseline = run_sweep(specs, jobs=1)
         modeled = run_sweep(specs, jobs=1, engine="model")
         assert all(run.engine == "model" for run in modeled)
         for run, ref in zip(modeled, baseline):
             assert run.elapsed == pytest.approx(ref.elapsed, rel=1e-9)
-        chunked = run_sweep(specs, jobs=2, chunksize=2)
+        # 16 specs over 2 jobs take the chunked dispatch path.
+        specs = _specs(16)
+        baseline = run_sweep(specs, jobs=1)
+        chunked = run_sweep(specs, jobs=2)
         assert [r.elapsed for r in chunked] == [r.elapsed for r in baseline]
 
 

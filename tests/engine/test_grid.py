@@ -141,26 +141,26 @@ class TestEngineRouting:
         specs = _mm_specs()
         with scoped_registry():
             vec = SweepExecutor(jobs=1, engine=ModelEngine()).map(specs)
-            plain = SweepExecutor(
-                jobs=1, engine=ModelEngine(vectorize=False)
-            ).map(specs)
+        plain = [predict_run(spec) for spec in specs]
         for a, b in zip(vec, plain):
             assert a.elapsed == b.elapsed
             assert a.engine == b.engine == "model"
 
     def test_hybrid_grid_bit_identical_to_pointwise(self):
+        # Certified: every point is the scalar prediction, bit for bit,
+        # except the calibration points, which report the DES run.
         specs = _mm_specs()
+        engine = HybridEngine()
         with scoped_registry():
-            grid_runs = SweepExecutor(jobs=1, engine="hybrid").map(specs)
-            point_runs = SweepExecutor(
-                jobs=1, engine=HybridEngine(vectorize=False)
-            ).map(specs)
-        assert [r.engine for r in grid_runs] == [
-            r.engine for r in point_runs
-        ]
-        assert [r.elapsed for r in grid_runs] == [
-            r.elapsed for r in point_runs
-        ]
+            grid_runs = SweepExecutor(jobs=1, engine=engine).map(specs)
+        calibration = {0, 3, 6}  # the spread picks of 7 points, k=3
+        for i, (run, spec) in enumerate(zip(grid_runs, specs)):
+            if i in calibration:
+                assert run.engine == "sim"
+                assert run.elapsed == spec.execute().elapsed
+            else:
+                assert run.engine == "model"
+                assert run.elapsed == predict_run(spec).elapsed
 
     def test_hybrid_grid_metrics(self):
         specs = _mm_specs()

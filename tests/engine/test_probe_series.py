@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.engine import HybridEngine
 from repro.errors import ConfigurationError
+from repro.experiments.__main__ import main as experiments_main
 from repro.experiments.probe_engine import probe_series
 from repro.metrics.registry import scoped_registry
 
@@ -91,3 +93,30 @@ class TestHybrid:
 def test_unknown_engine_rejected():
     with pytest.raises(ConfigurationError):
         probe_series("oracle", XS, _sim, _model_exact)
+
+
+class TestEngineForms:
+    def test_engine_instance_read_by_name(self):
+        values = probe_series(HybridEngine(), XS, _sim, _model_off)
+        assert values == [_sim(x) for x in XS]  # hybrid fell back
+
+    def test_learned_runs_as_hybrid(self):
+        def _model_near(x):
+            return _sim(x) * 1.01
+
+        assert probe_series("learned", XS, _sim, _model_near) == (
+            probe_series("hybrid", XS, _sim, _model_near)
+        )
+
+
+class TestProbeFiguresFromCli:
+    def test_learned_engine(self, tmp_path):
+        argv = ["fig5", "fig6", "fig7", "--engine", "learned"]
+        argv += ["--results-dir", str(tmp_path)]
+        assert experiments_main(argv) == 0
+
+    def test_engine_store_instance(self, tmp_path):
+        argv = ["fig5", "--engine", "hybrid"]
+        argv += ["--engine-store", str(tmp_path / "s.json")]
+        argv += ["--results-dir", str(tmp_path)]
+        assert experiments_main(argv) == 0

@@ -229,26 +229,25 @@ class TestHybridEngineStore:
             assert run.elapsed == pytest.approx(ref.elapsed, rel=1e-9)
 
     def test_failed_verdict_skips_straight_to_sim(self, tmp_path, monkeypatch):
-        import repro.engine.profiles as profiles
+        from repro.engine.grid import GridPlan
 
-        real_predict = profiles.predict_run
+        real_predict_runs = GridPlan.predict_runs
 
-        def skewed_predict(spec):
-            run = real_predict(spec)
-            run.elapsed *= 1.5
-            return run
+        def skewed_predict_runs(self, strict=True):
+            runs = real_predict_runs(self, strict=strict)
+            for run in runs:
+                run.elapsed *= 1.5
+            return runs
 
-        monkeypatch.setattr(profiles, "predict_run", skewed_predict)
+        monkeypatch.setattr(GridPlan, "predict_runs", skewed_predict_runs)
         specs = _mm_specs(places=(1, 2, 4, 8))
         with scoped_registry():
             SweepExecutor(
-                jobs=1,
-                engine=HybridEngine(vectorize=False, store=tmp_path),
+                jobs=1, engine=HybridEngine(store=tmp_path)
             ).map(specs)
         with scoped_registry() as registry:
             runs = SweepExecutor(
-                jobs=1,
-                engine=HybridEngine(vectorize=False, store=tmp_path),
+                jobs=1, engine=HybridEngine(store=tmp_path)
             ).map(specs)
             snapshot = registry.snapshot()
         assert snapshot.counter_value("engine.calibration_points") == 0

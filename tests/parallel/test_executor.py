@@ -209,13 +209,13 @@ class TestProgressReporting:
         ]
 
     def test_chunked_dispatch_fires_once_per_spec(self):
-        specs = self._specs(8)
+        specs = self._specs(16)
         seen = []
         ex = SweepExecutor(
             jobs=2,
-            chunksize=4,
             progress=lambda done, total, spec: seen.append((done, total)),
         )
+        assert ex._effective_chunksize(len(specs)) > 1
         ex.map(specs)
         assert [done for done, _ in seen] == list(range(1, len(specs) + 1))
         assert all(total == len(specs) for _, total in seen)

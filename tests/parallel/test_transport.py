@@ -1,11 +1,12 @@
-"""Slim result transport: wire-size wins, bit-identical results.
+"""Worker result transport: wire-size wins, bit-identical results.
 
-The pool used to ship whole ``AppRun`` objects (each dragging a full
-``MetricsSnapshot``) back to the parent.  The slim path ships scalar
-``RunResult`` records plus one merged, compressed metrics delta per
-chunk.  These tests pin the two contracts: the IPC volume drops by an
-order of magnitude, and nothing observable changes — timings, metric
-totals, and (under ``keep_traces``) the trace output itself.
+Workers ship scalar ``RunResult`` records plus one merged, compressed
+metrics delta per chunk instead of whole ``AppRun`` objects (each
+dragging a full ``MetricsSnapshot``).  These tests pin the two
+contracts against ``spec.execute()`` and the serial executor: the IPC
+volume is an order of magnitude below the full objects, and nothing
+observable changes — timings, metric totals, and the trace output of
+``keep_timeline`` specs.
 """
 
 import pickle
@@ -15,11 +16,7 @@ import pytest
 from repro.apps import MatMulApp
 from repro.metrics.registry import scoped_registry
 from repro.parallel import RunResult, RunSpec, SweepExecutor
-from repro.parallel.runspec import (
-    execute_spec_batch,
-    execute_spec_batch_slim,
-    execute_spec_slim,
-)
+from repro.parallel.runspec import execute_spec_batch_slim, execute_spec_slim
 
 
 def _mm_specs(n=8):
@@ -32,9 +29,9 @@ def _mm_specs(n=8):
 class TestWireSize:
     def test_chunk_transport_at_least_10x_smaller(self):
         """The headline number: a fig9-size chunk's pickled result
-        payload shrinks >= 10x under the slim transport."""
+        payload is >= 10x smaller than the full run objects."""
         specs = _mm_specs(8)
-        full = pickle.dumps(execute_spec_batch(list(specs)))
+        full = pickle.dumps([("ok", s.execute()) for s in specs])
         slim = pickle.dumps(execute_spec_batch_slim(list(specs)))
         ratio = len(full) / len(slim)
         assert ratio >= 10.0, (
@@ -98,13 +95,6 @@ class TestParallelIdentity:
 
         assert counters(parallel) == counters(serial)
 
-    def test_keep_traces_executor_matches_serial(self):
-        specs = _mm_specs(4)
-        serial = SweepExecutor(jobs=1).map(specs)
-        full = SweepExecutor(jobs=2, keep_traces=True).map(specs)
-        for par, ser in zip(full, serial):
-            assert par.elapsed == ser.elapsed
-
 
 class TestKeepTraces:
     def test_keep_timeline_trace_bit_identical_across_transports(self):
@@ -112,17 +102,10 @@ class TestKeepTraces:
             MatMulApp, 3000, 36, places=4, keep_timeline=True
         )
         reference = pickle.dumps(spec.execute().timeline)
-        for kwargs in ({}, {"keep_traces": True}):
-            runs = SweepExecutor(jobs=2, **kwargs).map([spec])
+        for jobs in (1, 2):
+            runs = SweepExecutor(jobs=jobs).map([spec])
             assert runs[0].timeline is not None
             assert pickle.dumps(runs[0].timeline) == reference
-
-    def test_keep_traces_restores_per_run_snapshots(self):
-        # 16 specs / 2 jobs forces chunked dispatch; the full transport
-        # still hands every run its own snapshot.
-        specs = _mm_specs(16)
-        runs = SweepExecutor(jobs=2, keep_traces=True).map(specs)
-        assert all(run.metrics is not None for run in runs)
 
     def test_chunked_slim_runs_drop_per_run_snapshots(self):
         # Chunked slim transport folds worker snapshots into one blob

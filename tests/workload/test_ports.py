@@ -81,6 +81,24 @@ def test_two_device_port_tracks_des(app_cls, args, kwargs):
         )
 
 
+def test_two_device_port_built_once_per_point(monkeypatch):
+    import repro.workload as workload
+    from repro.engine import profiles
+
+    calls = []
+
+    def counting_workload_of(*args, **kwargs):
+        calls.append(args)
+        return workload_of(*args, **kwargs)
+
+    profiles._cached_port.cache_clear()
+    monkeypatch.setattr(workload, "workload_of", counting_workload_of)
+    spec = RunSpec.for_app(MatMulApp, 600, 16, places=5, num_devices=2)
+    first = predict_run(spec).elapsed
+    assert predict_run(spec).elapsed == first
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("app_cls, args, kwargs", APPS)
 def test_model_envelope_is_the_apps_own(app_cls, args, kwargs):
     app = app_cls(*args, **kwargs)
